@@ -94,7 +94,6 @@ class Tracer:
                 tracer.fills.append((len(args[1]), _fill_gauge()))
             return result
 
-        traced.__wrapped__ = original
         return traced
 
     def install(self) -> "Tracer":
@@ -105,9 +104,7 @@ class Tracer:
             owner = module if owner_name is None else getattr(
                 module, owner_name
             )
-            original = owner.__dict__[attr] if owner_name else getattr(
-                owner, attr
-            )
+            original = owner.__dict__[attr]
             self._patches.append((owner, attr, original))
             setattr(owner, attr, self._wrap(name, original))
         return self
