@@ -1,6 +1,6 @@
 """Run every workload once and print its end-to-end metrics as a table.
 
-    python3 perfbench/all.py [--seed 1] [--seconds 15] [--check]
+    python3 perfbench/all.py [--seed 1] [--seconds 40] [--check]
 
 Each metric prints by name with its unit, plus ``failed_frac`` (failed
 operations / attempted, from the result's ``attempted`` and ``failed``)
@@ -66,7 +66,8 @@ def main(argv=None) -> int:
                         help="default: BENCHMARK.json run_seconds")
     parser.add_argument("--check", action="store_true")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="only these workloads (repeatable)")
+                        help="only these workloads (repeatable; default: "
+                        "the workloads of BENCHMARK.json)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds or spec["run_seconds"]
@@ -75,7 +76,7 @@ def main(argv=None) -> int:
         1: {m["name"]: m["unit"] for m in spec["per_layer"]},
     }
     problems: list[str] = []
-    for workload in args.workload or WORKLOADS:
+    for workload in args.workload or [w["name"] for w in spec["workloads"]]:
         result, inputs = run(workload, args.seed, seconds, 0)
         print("\n".join(table(workload, result)), flush=True)
         if not result["correct"] or result["failed"]:

@@ -1,7 +1,7 @@
 """Benchmark entry point: one workload, one seed, one JSON result line.
 
     python3 perfbench/run.py --workload paper-search --seed 1 \
-        --seconds 15 --trace 0
+        --seconds 40 --trace 0
 
 Run from the root of a source checkout.  ``--trace 0`` prints the
 end-to-end metrics of BENCHMARK.json, ``--trace 1`` the per-layer ones
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     try:

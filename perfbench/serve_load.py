@@ -171,6 +171,7 @@ def boot(workload, store: Path) -> tuple[ServerProcess, float]:
 class Submission:
     payload: dict
     fresh: bool
+    timed: bool                   # in the timed window (not warm-up)
     due: float                    # scheduled send (perf_counter)
     sent: float = 0.0
     accepted: float = 0.0
@@ -182,7 +183,8 @@ class Submission:
     error: str | None = None
 
 
-def open_loop(port: int, offsets, payloads, fresh) -> list[Submission]:
+def open_loop(port: int, offsets, payloads, fresh,
+              timed) -> list[Submission]:
     """Send the schedule; watch every accepted job to its terminal state.
 
     The sender thread never waits for a job: each submission that is
@@ -196,8 +198,9 @@ def open_loop(port: int, offsets, payloads, fresh) -> list[Submission]:
     client = ServeClient(f"http://127.0.0.1:{port}")
     start = time.perf_counter() + 0.05
     subs = [
-        Submission(payload, is_fresh, start + offset)
-        for payload, is_fresh, offset in zip(payloads, fresh, offsets)
+        Submission(payload, is_fresh, is_timed, start + offset)
+        for payload, is_fresh, is_timed, offset
+        in zip(payloads, fresh, timed, offsets)
     ]
     watchers: list[threading.Thread] = []
 
@@ -258,17 +261,21 @@ def stats(port: int) -> dict:
 
 
 def run(workload, args, store: Path, server: ServerProcess):
-    """The timed window plus the checks after it.
+    """Warm-up, the timed window, and the checks after it.
 
-    Returns ``(attempted, failed, end_to_end, per_layer)``.
+    Returns ``(attempted, failed, end_to_end, per_layer)``.  Every job
+    counts towards ``attempted`` / ``failed``; the metrics cover the
+    timed window's jobs only.
     """
-    offsets, payloads, fresh = workload.schedule(args.seed, args.seconds)
+    offsets, payloads, fresh, timed = workload.schedule(args.seed,
+                                                        args.seconds)
     inputs = digest_of(
         [json.dumps(p, sort_keys=True) for p in payloads] + [repr(offsets)]
     )
-    log(f"inputs {inputs} {len(payloads)} jobs, {sum(fresh)} fresh")
+    log(f"inputs {inputs} {len(payloads)} jobs, {sum(timed)} timed, "
+        f"{sum(fresh)} fresh")
     before = stats(server.port)
-    subs = open_loop(server.port, offsets, payloads, fresh)
+    subs = open_loop(server.port, offsets, payloads, fresh, timed)
     after = stats(server.port)
     peak_rss = server.peak_rss_mb()
 
@@ -277,16 +284,18 @@ def run(workload, args, store: Path, server: ServerProcess):
     for sub in subs:
         if sub not in done:
             log(f"serve job {sub.job_id} failed: {sub.error or sub.state}")
-    if not done:
-        raise RuntimeError("no serve job completed")
-    window = max(s.observed for s in done) - subs[0].due
-    latencies = [s.observed - s.due for s in done]
+    window_subs = [s for s in subs if s.timed]
+    window_done = [s for s in done if s.timed]
+    if not window_done:
+        raise RuntimeError("no serve job of the timed window completed")
+    window = max(s.observed for s in window_done) - window_subs[0].due
+    latencies = [s.observed - s.due for s in window_done]
 
     # Everything below runs after the timed window.  Delivered circuits
-    # are the results of the distinct fresh jobs.
+    # are the results of the window's distinct fresh jobs.
     results = {
         s.job_id: (s, fetch_result(server.port, s.job_id))
-        for s in done if s.fresh
+        for s in window_done if s.fresh
     }
     failed += _regenerate(workload, args.seed, store, results)
     scpr, pcs = quality_means([
@@ -295,7 +304,7 @@ def run(workload, args, store: Path, server: ServerProcess):
     ])
     end_to_end = {
         "circuits_per_s": metric(
-            sum(int(s.payload["count"]) for s in done) / window,
+            sum(int(s.payload["count"]) for s in window_done) / window,
             "circuits/s",
         ),
         "job_latency_p50_s": metric(quantile(latencies, 0.50), "s"),
@@ -304,8 +313,11 @@ def run(workload, args, store: Path, server: ServerProcess):
         "pcs_mean": metric(pcs, "area/node"),
         "peak_rss_mb": metric(peak_rss, "MB"),
     }
+    warmup_dispatched = sum(1 for s in subs
+                            if not s.timed and not s.deduplicated)
     return (len(subs), failed, end_to_end,
-            _layers(server.port, subs, done, results, before, after))
+            _layers(server.port, window_subs, window_done, results,
+                    before, after, warmup_dispatched))
 
 
 def _final_graph(record: dict):
@@ -341,10 +353,11 @@ def _regenerate(workload, seed: int, store: Path, results: dict) -> int:
     return mismatches
 
 
-def _layers(port, subs, done, results, before, after) -> dict:
-    """Per-layer numbers of the serve path: client timings, job record
-    timestamps, ``/stats`` deltas and the workers' per-record phase
-    timings."""
+def _layers(port, subs, done, results, before, after,
+            warmup_dispatched) -> dict:
+    """Per-layer numbers of the serve path over the timed window: client
+    timings, job record timestamps, ``/stats`` deltas (less the warm-up
+    jobs) and the workers' per-record phase timings."""
     dispatched_subs = [s for s in done if s.fresh and not s.deduplicated]
     jobs = [_call(port, "GET", f"/jobs/{s.job_id}")[1]
             for s in dispatched_subs]
@@ -354,7 +367,8 @@ def _layers(port, subs, done, results, before, after) -> dict:
               for s, j in zip(dispatched_subs, jobs)]
     accept = [s.accepted - s.sent for s in dispatched_subs]
     dedup = [s.accepted - s.sent for s in subs if s.deduplicated]
-    dispatched = after["dispatched"] - before["dispatched"]
+    dispatched = (after["dispatched"] - before["dispatched"]
+                  - warmup_dispatched)
     dedup_hits = after["dedup_hits"] - before["dedup_hits"]
     phases: dict[str, list[float]] = {"sample": [], "refine": [],
                                       "optimize": []}

@@ -4,9 +4,12 @@ Started by ``run.py`` with an empty artifact store.  It imports the
 program, fits the workload's session (training included), prints
 ``READY`` -- the parent stops its set-up clock there -- and, unless
 ``--setup-only``, runs the workload and prints one JSON result line.
+With ``--trace 0`` it warms up on one request and then cycles through
+the workload's requests for ``--seconds``; with ``--trace 1`` it makes
+one fixed pass untraced and the same pass traced.
 
     python3 perfbench/worker.py --workload paper-search --seed 1 \
-        --seconds 15 --trace 0 --store <empty dir>
+        --seconds 40 --trace 0 --store <empty dir>
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import resource
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -33,37 +37,62 @@ from common import (  # noqa: E402
 from workloads import IN_PROCESS  # noqa: E402
 
 PINS = Path(__file__).resolve().parent / "pins.json"
-#: Each workload's request list is sized so that one pass takes about
-#: this long on a 2-core machine (BENCHMARK.json's run_seconds); a run
-#: makes one pass per this many ``--seconds``.
-NOMINAL_PASS_SECONDS = 15.0
 
 
-def _timed(session, workload, requests, passes):
-    """Run the requests ``passes`` times over.
+def _run_one(method, workload, payload):
+    """One request -> (latency, records or None, failed circuits).
 
-    Returns ``(wall, [(payload, records or None)], latencies, failed)``.
     An exception (``BatchItemError`` included) fails every circuit of
-    its request and the run goes on.
+    the request and the run goes on.
     """
     from repro.api import GenerateRequest
 
+    request = GenerateRequest.from_dict(payload)
+    began = time.perf_counter()
+    try:
+        records = method(request).records
+        failed = 0
+    except Exception as exc:  # noqa: BLE001 -- counted, not fatal
+        log(f"{workload.name} request seed {request.seed} failed: "
+            f"{type(exc).__name__}: {exc}")
+        records, failed = None, request.count
+    return time.perf_counter() - began, records, failed
+
+
+def _one_pass(session, workload, requests):
+    """Every request once: ``(wall, [(payload, records)], failed)``."""
     method = getattr(session, workload.method)
-    delivered, latencies, failed = [], [], 0
+    delivered, failed = [], 0
     started = time.perf_counter()
-    for payload in requests * passes:
-        request = GenerateRequest.from_dict(payload)
-        began = time.perf_counter()
-        try:
-            records = method(request).records
-        except Exception as exc:  # noqa: BLE001 -- counted, not fatal
-            log(f"{workload.name} request seed {request.seed} failed: "
-                f"{type(exc).__name__}: {exc}")
-            failed += request.count
-            records = None
-        latencies.append(time.perf_counter() - began)
+    for payload in requests:
+        _, records, lost = _run_one(method, workload, payload)
         delivered.append((payload, records))
-    return time.perf_counter() - started, delivered, latencies, failed
+        failed += lost
+    return time.perf_counter() - started, delivered, failed
+
+
+def _timed_window(session, workload, requests, seconds):
+    """Warm up on the first request, then cycle through the requests
+    until ``seconds`` have passed and each has run at least once.
+
+    Returns ``([(payload, records)], {request seed: [latency, ...]},
+    failed)``; the warm-up's records are checked but not timed.
+    """
+    method = getattr(session, workload.method)
+    _, records, failed = _run_one(method, workload, requests[0])
+    delivered = [(requests[0], records)]
+    latencies: dict[int, list[float]] = {r["seed"]: [] for r in requests}
+    started = time.perf_counter()
+    index = 0
+    while (time.perf_counter() - started < seconds
+           or not all(latencies.values())):
+        payload = requests[index % len(requests)]
+        index += 1
+        latency, records, lost = _run_one(method, workload, payload)
+        latencies[payload["seed"]].append(latency)
+        delivered.append((payload, records))
+        failed += lost
+    return delivered, latencies, failed
 
 
 def _check(workload, records) -> tuple[int, list]:
@@ -98,13 +127,20 @@ def _check(workload, records) -> tuple[int, list]:
     return failed, list(graphs.values())
 
 
-def _end_to_end(wall, records, latencies, quality):
-    delivered = sum(len(recs) for _, recs in records if recs is not None)
+def _end_to_end(requests, latencies, quality):
+    """Time metrics from each request's median latency over the window,
+    so a slow stretch of the host moves one sample, not the figure."""
+    medians = {seed: statistics.median(times)
+               for seed, times in latencies.items()}
+    circuits = sum(int(r["count"]) for r in requests)
     scpr, pcs = quality
     return {
-        "circuits_per_s": metric(delivered / wall, "circuits/s"),
-        "job_latency_p50_s": metric(quantile(latencies, 0.50), "s"),
-        "job_latency_p95_s": metric(quantile(latencies, 0.95), "s"),
+        "circuits_per_s": metric(circuits / sum(medians.values()),
+                                 "circuits/s"),
+        "job_latency_p50_s": metric(quantile(list(medians.values()), 0.50),
+                                    "s"),
+        "job_latency_p95_s": metric(quantile(list(medians.values()), 0.95),
+                                    "s"),
         "scpr_mean": metric(scpr, "ratio"),
         "pcs_mean": metric(pcs, "area/node"),
         "peak_rss_mb": metric(
@@ -191,7 +227,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=sorted(IN_PROCESS),
                         required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--store", required=True)
     parser.add_argument("--setup-only", action="store_true")
@@ -223,25 +259,29 @@ def main(argv=None) -> int:
     requests = workload.requests(args.seed)
     inputs = digest_of([json.dumps(r, sort_keys=True) for r in requests])
     log(f"inputs {inputs} request seeds {[r['seed'] for r in requests]}")
-    # Fixed work per run: whole passes over the request list.
-    passes = max(1, round(args.seconds / NOMINAL_PASS_SECONDS))
-    untraced_wall = None
     if tracer is not None:
-        untraced_wall, *_ = _timed(session, workload, requests, passes)
+        # Fixed work, so the per-layer counts repeat exactly: one pass
+        # untraced (the overhead reference), then the same pass traced.
+        untraced_wall, _, _ = _one_pass(session, workload, requests)
         tracer.install()
-    wall, records, latencies, failed = _timed(
-        session, workload, requests, passes
-    )
-    if tracer is not None:
+        wall, records, failed = _one_pass(session, workload, requests)
         tracer.uninstall()
+    else:
+        records, latencies, failed = _timed_window(
+            session, workload, requests, args.seconds
+        )
+        log("latencies " + " ".join(
+            f"{seed}:" + ",".join(f"{t:.3f}" for t in times)
+            for seed, times in latencies.items()
+        ))
     failed_check, graphs = _check(workload, records)
-    attempted = sum(int(r["count"]) for r in requests) * passes
+    attempted = sum(int(p["count"]) for p, _ in records)
     failed += failed_check
     if tracer is not None:
         metrics = _per_layer(tracer, wall, untraced_wall, train_s)
         tracer.dump(OUT_ROOT / f"spans-{workload.name}-{args.seed}.json.gz")
     else:
-        metrics = _end_to_end(wall, records, latencies, quality_means(graphs))
+        metrics = _end_to_end(requests, latencies, quality_means(graphs))
     print(json.dumps({
         "correct": failed == 0,
         "attempted": attempted,

@@ -1,10 +1,12 @@
 """Workload definitions: scenario configs and seeded input schedules.
 
 Every workload turns ``--seed`` into its inputs here, and the program
-only ever sees the resulting requests.  The in-process workloads run a
-fixed, digest-pinned list of requests in seeded order; ``serve-mixed``
-draws a seeded open-loop arrival schedule whose fresh requests come
-from a pool permuted by the seed.  README.md gives the reasons.
+only ever sees the resulting requests.  The in-process workloads cycle
+through a fixed, digest-pinned list of requests in seeded order;
+``serve-mixed`` draws a seeded open-loop arrival schedule whose fresh
+requests come from a pool permuted by the seed.  ``sample-only`` is not
+in BENCHMARK.json (README.md says why) but still runs on request.
+README.md gives the reasons.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ PAPER_SEARCH = InProcess(
     preset="smoke",
     mcts={"num_simulations": 500, "max_depth": 10, "branching": 8},
     method="generate",
-    request={"count": 2, "nodes": [48, 64], "optimize": True},
-    seeds=(0, 2),
+    request={"count": 1, "nodes": [48, 64], "optimize": True},
+    seeds=(3, 9, 13, 18),
 )
 
 DATASET_FAST = InProcess(
@@ -88,17 +90,23 @@ class Serve:
     name: str = "serve-mixed"
     preset: str = "smoke"
     workers: int = 2
-    #: Poisson arrivals per second, about half the two-worker capacity.
-    rate: float = 13.5
+    #: Poisson arrivals per second: about a quarter of the two-worker
+    #: capacity, so that queueing does not amplify a slow stretch of
+    #: the host into the latency figures.
+    rate: float = 8.0
     #: Share of arrivals that repeat an earlier request of the run.
     repeat_share: float = 0.25
-    #: Fresh requests are drawn without replacement from a pool of
-    #: request seeds ``pool_base + k``, 1.1x the fresh count of a run:
-    #: different seeds share most of their requests, which keeps the
-    #: quality means of two runs comparable.
+    #: The fresh requests of a window are request seeds ``pool_base +
+    #: k`` for k below the fresh count, in seeded order: every seed
+    #: sends the same circuits, so the job mix (and the quality means)
+    #: of two runs agree.
     pool_base: int = 10_000
-    pool_slack: float = 1.1
     request: tuple = (("count", 1), ("nodes", (40, 64)), ("optimize", True))
+    #: Untimed traffic before the window, at the same rate, so every
+    #: worker process has run jobs before the first timed arrival.
+    warmup_seconds: float = 2.0
+    #: Warm-up requests use seeds ``warmup_base + k``, outside the pool.
+    warmup_base: int = 20_000
     #: Completed fresh jobs regenerated in-process per run.
     regenerate: int = 6
     #: The setup probe's request (never part of the traffic).
@@ -108,25 +116,31 @@ class Serve:
         return dict(self.request, seed=request_seed)
 
     def schedule(self, seed: int, seconds: float):
-        """``(send_offsets, payloads, fresh_flags)`` of one run.
+        """``(send_offsets, payloads, fresh_flags, timed_flags)`` of one
+        run.
 
-        The arrival count is fixed at ``rate * seconds`` and the offsets
-        are uniform order statistics over the window -- a Poisson
-        process conditioned on its count, so bursts stay but the
-        offered load is the same in every run.  Exactly
-        ``repeat_share`` of the arrivals (never the first four) repeat
-        an earlier fresh request of the run.
+        ``warmup_seconds`` of fresh, untimed arrivals come first; the
+        timed window follows.  The window's arrival count is fixed at
+        ``rate * seconds`` and its offsets are uniform order statistics
+        over the window -- a Poisson process conditioned on its count,
+        so bursts stay but the offered load is the same in every run.
+        Exactly ``repeat_share`` of the window's arrivals (never the
+        first four) repeat an earlier fresh request of the window.
         """
         rng = random.Random(f"{self.name}/{seed}")
+        warmup = int(round(self.rate * self.warmup_seconds))
+        offsets = [(k + 0.5) / self.rate for k in range(warmup)]
+        payloads = [self.payload(self.warmup_base + k)
+                    for k in range(warmup)]
+        fresh = [True] * warmup
+        timed = [False] * warmup
         total = max(int(round(self.rate * seconds)), 8)
-        offsets = sorted(rng.uniform(0.0, seconds) for _ in range(total))
+        offsets += sorted(self.warmup_seconds + rng.uniform(0.0, seconds)
+                          for _ in range(total))
         repeats = set(rng.sample(range(4, total),
                                  int(total * self.repeat_share)))
-        pool_size = int((total - len(repeats)) * self.pool_slack)
-        pool = [self.pool_base + k for k in range(pool_size)]
+        pool = [self.pool_base + k for k in range(total - len(repeats))]
         rng.shuffle(pool)
-        payloads: list[dict] = []
-        fresh: list[bool] = []
         sent_fresh: list[dict] = []
         for index in range(total):
             if index in repeats:
@@ -137,7 +151,8 @@ class Serve:
                 sent_fresh.append(payload)
                 payloads.append(payload)
                 fresh.append(True)
-        return offsets, payloads, fresh
+            timed.append(True)
+        return offsets, payloads, fresh, timed
 
 
 SERVE_MIXED = Serve()
