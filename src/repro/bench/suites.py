@@ -15,11 +15,9 @@ deliberately spans the whole stack:
   chain (the delta-mode fixpoint the incremental reward runs per
   candidate)
 * ``mcts.optimize``    -- the Phase 3 search loop (preset reward path)
-* ``mcts.optimize_incremental`` -- the same loop with the incremental
-  reward engine explicitly enabled (pinned even if presets change)
 * ``lint.graph``       -- the graph-scope diagnostic rules over the corpus
 * ``sanitize.overhead`` -- the incremental search with the runtime
-  invariant auditor on (vs ``mcts.optimize_incremental`` = its cost)
+  invariant auditor on (vs ``mcts.optimize`` = its cost)
 * ``obs.overhead``     -- the same search with an active trace recorder
   (vs ``mcts.optimize`` = the cost of *enabled* tracing; default-off
   span sites ride inside every other benchmark already)
@@ -243,19 +241,9 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
             mcts_meta["result_sha"] = hashlib.sha256(
                 repr(structural_fingerprint(report.graph).key).encode()
             ).hexdigest()[:16]
-        return max(report.total_simulations, 1)
-
-    def mcts_incr_setup():
-        import dataclasses
-
-        return (
-            load_design("uart_tx"),
-            dataclasses.replace(config.mcts, incremental=True),
-        )
-
-    def mcts_incr_run(state):
-        graph, mcts_config = state
-        report = optimize_registers(graph, config=mcts_config)
+            mcts_meta["reward_calls_per_simulation"] = round(
+                report.reward_calls / max(report.total_simulations, 1), 2
+            )
         return max(report.total_simulations, 1)
 
     # -- lint / sanitizer ------------------------------------------------
@@ -440,10 +428,6 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
                   meta={"design": "alu",
                         "note": "dirty-cone fixpoint vs captured baseline"}),
         Benchmark("mcts.optimize", mcts_setup, mcts_run, meta=mcts_meta),
-        Benchmark("mcts.optimize_incremental", mcts_incr_setup, mcts_incr_run,
-                  meta={"design": "uart_tx",
-                        "num_simulations": config.mcts.num_simulations,
-                        "incremental": True}),
         Benchmark("lint.graph", lint_setup, lint_run,
                   meta={"note": "graph-scope rules over the whole corpus"}),
         Benchmark("sanitize.overhead", sanitize_setup, sanitize_run,
@@ -469,13 +453,13 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
     ]
     if config.use_diffusion:
         benchmarks.insert(
-            10,
+            9,
             Benchmark("diffusion.sample", diffusion_setup, diffusion_run,
                       meta={"nodes": 48,
                             "epochs": config.diffusion.epochs}),
         )
         benchmarks.insert(
-            11,
+            10,
             Benchmark("diffusion.sample_batch", diffusion_setup,
                       diffusion_batch_run,
                       meta={"nodes": 48, "batch": 4,
@@ -483,7 +467,7 @@ def build_suite(config, seed: int = 0) -> list[Benchmark]:
                             "note": "shared denoiser forwards"}),
         )
         benchmarks.insert(
-            12,
+            11,
             Benchmark("diffusion.fused_gemm", diffusion_setup,
                       diffusion_fused_run,
                       meta={"nodes": list(fused_sizes),
@@ -551,10 +535,11 @@ def run_suite(
                 record.wall_best * 1000.0 / record.ops, 4
             )
     sanitized = by_name.get("sanitize.overhead")
-    plain = by_name.get("mcts.optimize_incremental")
+    plain = by_name.get("mcts.optimize")
     if sanitized and plain and plain.wall_best > 0:
         # The auditing cost factor: sanitized vs unsanitized search on
-        # the identical workload (same design, budget, reward path).
+        # the same design and budget (the presets' reward path is the
+        # incremental one sanitize.overhead pins).
         sanitized.meta["overhead_vs_unsanitized"] = round(
             sanitized.wall_best / plain.wall_best, 2
         )

@@ -391,7 +391,6 @@ class RedundancyAnalyzer:
         owner_by_key = self._b_owner
         b_key = self._b_key
         b_deps = self._b_deps
-        child_map: list[list[int]] | None = None
         rounds = 0
         converged = False
         for rounds in range(1, max_rounds + 1):
@@ -549,9 +548,7 @@ class RedundancyAnalyzer:
                         return self._delta_fallback("reg_ref_changed")
                     refs[v] = ref
                     changed = True
-                    if child_map is None:
-                        child_map = graph.child_map()
-                    pending.extend(child_map[v])
+                    pending.extend(graph._fanout(v))
                     deps = b_deps.get(v)
                     if deps:
                         pending.extend(deps)

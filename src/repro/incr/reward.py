@@ -128,6 +128,7 @@ class IncrementalReward:
         self.analysis_delta_hits = 0
         self.analysis_fallbacks = 0
         self.analysis_divergences = 0
+        self.analysis_fallback_reasons: dict[str, int] = {}
         self.base_pcs: float | None = None
         self._base_graph: CircuitGraph | None = None
         self._base: DeltaNetlist | None = None
@@ -221,6 +222,9 @@ class IncrementalReward:
             self.analysis_delta_hits += analyzer.delta_hits
             self.analysis_fallbacks += analyzer.delta_fallbacks
             self.analysis_divergences += analyzer.delta_divergences
+            reasons = self.analysis_fallback_reasons
+            for reason, count in analyzer.fallback_reasons.items():
+                reasons[reason] = reasons.get(reason, 0) + count
 
     def analysis_counters(self) -> tuple[int, int, int]:
         """(delta hits, fallbacks, divergences) including the live
@@ -236,6 +240,15 @@ class IncrementalReward:
             self.analysis_fallbacks + extra[1],
             self.analysis_divergences + extra[2],
         )
+
+    def fallback_reasons(self) -> dict[str, int]:
+        """Delta-analysis fallbacks by reason, including the live
+        analyzer's tallies."""
+        reasons = dict(self.analysis_fallback_reasons)
+        if self._analyzer is not None:
+            for reason, count in self._analyzer.fallback_reasons.items():
+                reasons[reason] = reasons.get(reason, 0) + count
+        return reasons
 
     # ------------------------------------------------------------------
     def _area_of(
@@ -284,6 +297,46 @@ class IncrementalReward:
             )
             self._area_memo[key] = area
         return area
+
+    def _overrides(
+        self, graph: CircuitGraph, touched: list[int], traced: bool
+    ) -> dict[int, float]:
+        """Areas of the touched combinational nodes under ``graph``'s
+        wiring (memoized on ``graph``).
+
+        Only the rewired nodes' own areas can differ from base (their
+        operand widths changed); REG/OUT lowerings are width-static.
+        When ``touched`` was traced through swap provenance, it is the
+        predecessor's touched set plus the two rows the last swap
+        rewired, and every other row is wired as in the predecessor --
+        so the predecessor's overrides are inherited and only those two
+        rows are looked up.
+        """
+        base_graph = self._base_graph
+        comb = self._analyzer._comb
+        overrides = None
+        origin = getattr(graph, "edit_origin", None) if traced else None
+        if origin is not None:
+            prev, rewired = origin
+            if prev is base_graph:
+                inherited: dict[int, float] | None = {}
+            else:
+                memo = prev.__dict__.get("_area_overrides")
+                inherited = (
+                    memo[2] if memo is not None and memo[0] is self
+                    and memo[1] is base_graph else None
+                )
+            if inherited is not None:
+                overrides = dict(inherited)
+                for v in rewired:
+                    if v in comb:
+                        overrides[v] = self._rewired_area(graph, v)
+        if overrides is None:
+            overrides = {
+                v: self._rewired_area(graph, v) for v in touched if v in comb
+            }
+        graph._area_overrides = (self, base_graph, overrides)
+        return overrides
 
     def _touched_vs_base(self, graph: CircuitGraph) -> list[int] | None:
         touched = self._trace_touched(graph)
@@ -343,24 +396,23 @@ class IncrementalReward:
             self.rebase(graph)
         if graph is self._base_graph:
             return self.base_pcs
-        touched = self._touched_vs_base(graph)
-        if touched is None:
-            # Different schema: a new design, re-anchor everything.
-            self.rebase(graph)
-            return self.base_pcs
+        touched = self._trace_touched(graph)
+        traced = touched is not None
+        if not traced:
+            touched = graph.structural_delta(self._base_graph)
+            if touched is None:
+                # Different schema: a new design, re-anchor everything.
+                self.rebase(graph)
+                return self.base_pcs
         if not touched:
             return self.base_pcs
         self.patches += 1
         report = self._analyzer.analyze(graph, touched=touched)
-        comb = self._analyzer._comb
-        # Only the rewired nodes' own areas can differ from base (their
-        # operand widths changed); REG/OUT lowerings are width-static.
-        overrides = {
-            v: self._rewired_area(graph, v) for v in touched if v in comb
-        }
+        overrides = self._overrides(graph, touched, traced)
         sanitizer = current_sanitizer()
-        if sanitizer is not None and overrides:
-            # S006: memo-served areas vs fresh single-node lowerings.
+        if sanitizer is not None:
+            # S006: memo-served areas vs fresh single-node lowerings,
+            # keyed by exactly the touched combinational nodes.
             sanitizer.check_area_memo(self, graph, overrides)
         area = self._area_of(report, overrides)
         return self._scale * area / max(graph.num_nodes, 1)

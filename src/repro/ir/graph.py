@@ -39,8 +39,9 @@ class Node:
 
 #: ``__dict__`` keys of the lazily memoized wiring-derived structures;
 #: every parent mutation drops them so no memo can serve a stale view
-#: of the wiring (the fingerprint memo of :mod:`repro.mcts.reward` uses
-#: the same discipline and is invalidated alongside).
+#: of the wiring (the fingerprint memo of :mod:`repro.mcts.reward` and
+#: the area overrides of :mod:`repro.incr.reward` use the same
+#: discipline and are invalidated alongside).
 _WIRING_MEMOS = (
     "_structural_fp",
     "_structural_fp_nodes",
@@ -49,6 +50,7 @@ _WIRING_MEMOS = (
     "_filled_rows_memo",
     "_edge_pos_memo",
     "_swap_local",
+    "_area_overrides",
 )
 
 
@@ -77,6 +79,7 @@ class CircuitGraph:
         node_id = len(self._nodes)
         self._nodes.append(Node(node_id, node_type, width, params or {}, name))
         self._parents.append([None] * arity_of(node_type))
+        self.__dict__.pop("_sequential_memo", None)
         self._invalidate_wiring()
         return node_id
 
@@ -180,6 +183,24 @@ class CircuitGraph:
         """One raw ordered parent row (read-only; overlay-resolved in
         :class:`GraphView`)."""
         return self._parents[child]
+
+    def _sequential_flags(self) -> list[bool]:
+        """``is_sequential`` of every node's type, by node id.
+
+        A schema-static table (memoized until the next :meth:`add_node`;
+        views read their base's), so hot loops that classify nodes skip
+        the per-node ``node()`` / ``is_sequential`` calls.  Read-only.
+        """
+        memo = self.__dict__.get("_sequential_memo")
+        if memo is None:
+            memo = [is_sequential(n.type) for n in self._nodes]
+            self._sequential_memo = memo
+        return memo
+
+    def _fanout(self, node_id: int) -> list[int]:
+        """The nodes consuming ``node_id`` (read-only; as in
+        :meth:`child_map`, in no guaranteed order)."""
+        return self.child_map()[node_id]
 
     def _all_rows(self) -> list[list[int | None]]:
         """The raw ordered parent rows (read-only; overlay-resolved in
@@ -430,6 +451,27 @@ class GraphView(CircuitGraph):
         for child, row in self._rows.items():
             rows[child] = row
         return rows
+
+    def _sequential_flags(self) -> list[bool]:
+        return self._base._sequential_flags()
+
+    def _fanout(self, node_id: int) -> list[int]:
+        """One node's fanout from the base's child map plus this view's
+        overlay rows, without building the view's whole child map."""
+        memo = self.__dict__.get("_child_map_memo")
+        if memo is not None:
+            return memo[node_id]
+        rows = self._rows
+        base_rows = self._base._parents
+        out = [
+            child for child in self._base.child_map()[node_id]
+            if child not in rows or node_id in rows[child]
+        ]
+        out.extend(
+            child for child, row in rows.items()
+            if node_id in row and node_id not in base_rows[child]
+        )
+        return out
 
     def overlay_nodes(self) -> list[int]:
         """Ids of the rows this view overrides (sorted)."""

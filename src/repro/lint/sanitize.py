@@ -457,13 +457,25 @@ class Sanitizer:
         overrides: dict[int, float],
     ) -> None:
         """S006: memo-served per-node areas equal a fresh single-node
-        lowering of the candidate wiring (same float fold)."""
+        lowering of the candidate wiring (same float fold), and they
+        cover exactly the candidate's touched combinational nodes -- a
+        missing key would silently fall back to the base-state area."""
         if not self.wants("S006"):
             return
         self.checks_run += 1
         from ..incr.reward import _AreaScratch
         from ..synth.elaborate import _Elaborator
 
+        comb = engine._analyzer._comb
+        expected = {v for v in engine._touched_vs_base(graph) if v in comb}
+        if set(overrides) != expected:
+            self._fail(
+                "S006",
+                "area overrides do not cover exactly the touched "
+                "combinational nodes",
+                nodes=sorted(expected.symmetric_difference(overrides)),
+                **_graph_provenance(graph),
+            )
         widths = engine._node_widths
         library, strength = engine.library, engine.strength
         for v, served in overrides.items():

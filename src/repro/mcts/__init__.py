@@ -17,7 +17,6 @@ from .optimize import (
 from .reward import (
     CONE_FEATURE_DIM,
     GRAPH_FEATURE_DIM,
-    CachedReward,
     ConeBatchEvaluator,
     ConeSignature,
     SynthesisReward,
@@ -30,7 +29,6 @@ from .tree import ConeSearchResult, MCTSOptimizer
 __all__ = [
     "CONE_FEATURE_DIM",
     "GRAPH_FEATURE_DIM",
-    "CachedReward",
     "Cone",
     "ConeBatchEvaluator",
     "ConeSignature",

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..ir import CircuitGraph, GraphView, is_sequential
+from ..ir import CircuitGraph, GraphView
 from ..lint.sanitize import current_sanitizer
 
 
@@ -91,8 +91,8 @@ def _edge_in_comb_cycle(graph: CircuitGraph, parent: int, child: int) -> bool:
     combinational nodes; walked backwards from ``parent`` via parent
     edges so no fanout map has to be built.
     """
-    node = graph.node
-    if is_sequential(node(parent).type) or is_sequential(node(child).type):
+    sequential = graph._sequential_flags()
+    if sequential[parent] or sequential[child]:
         return False
     if parent == child:
         return True
@@ -105,7 +105,7 @@ def _edge_in_comb_cycle(graph: CircuitGraph, parent: int, child: int) -> bool:
                 continue
             if p == child:
                 return True
-            if p not in seen and not is_sequential(node(p).type):
+            if p not in seen and not sequential[p]:
                 seen.add(p)
                 stack.append(p)
     return False

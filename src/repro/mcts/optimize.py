@@ -22,7 +22,7 @@ from ..obs import get_logger, registry, span
 from ..tiers import EXACT_TIER, FAST_TIER, check_tier
 from .actions import SwapIndex, apply_swap
 from .cones import all_cones, driving_cone
-from .reward import CachedReward, ConeBatchEvaluator, SynthesisReward
+from .reward import ConeBatchEvaluator, SynthesisReward
 from .tree import ConeSearchResult, MCTSOptimizer, RewardFn
 
 logger = get_logger(__name__)
@@ -64,12 +64,6 @@ class MCTSConfig:
     :class:`OptimizationReport`; either flag restores the reference
     path wholesale.  Both apply only when the incremental engine is in
     play (``incremental=True``, no explicit ``reward_fn``).
-
-    ``cache_rewards`` memoizes reward evaluations on a structural
-    fingerprint per cone search (:class:`~repro.mcts.reward.CachedReward`).
-    Swaps are self-inverse, so deep searches revisit states; the cache
-    turns every revisit into a dict lookup instead of a synthesis run
-    without changing any search decision.
 
     ``track_cone_function`` records, for every accepted cone rewrite,
     whether the new cone still computes the original function (packed
@@ -124,7 +118,6 @@ class MCTSConfig:
     verify_with_synthesis: bool = True
     delta_analysis: bool = True
     delta_oracle: bool = True
-    cache_rewards: bool = True
     track_cone_function: bool = True
     require_functional_equivalence: bool = False
     sanitize: bool = False
@@ -136,9 +129,11 @@ class MCTSConfig:
 class OptimizationReport:
     graph: CircuitGraph
     cone_results: dict[int, ConeSearchResult] = field(default_factory=dict)
-    #: Reward lookups across all cone searches, and how many of them were
-    #: served by the structural cache (0 when ``cache_rewards`` is off).
+    #: Search-reward evaluations across all cone searches, counted in
+    #: the search loops themselves.
     reward_calls: int = 0
+    #: Always 0: the search caches no rewards.  Kept for report readers
+    #: that still divide by it (the repository benchmark's harness).
     reward_cache_hits: int = 0
     #: register -> whether the accepted rewrite preserved the cone's
     #: function (only populated when ``track_cone_function`` is on, plus
@@ -158,6 +153,9 @@ class OptimizationReport:
     analysis_delta_hits: int = 0
     analysis_fallbacks: int = 0
     analysis_divergences: int = 0
+    #: ``analysis_fallbacks`` broken down by reason (``folded_reg_cone``,
+    #: ``reg_ref_changed``, ``no_convergence``).
+    analysis_fallback_reasons: dict[str, int] = field(default_factory=dict)
     #: Delta-substrate oracle outcomes (candidates scored from a
     #: materialized delta netlist / via fresh elaboration / divergences
     #: that flipped the oracle to the reference path).  All zero when
@@ -190,7 +188,7 @@ class OptimizationReport:
 #: registry is the aggregated source surfaces like ``GET /metrics``
 #: read; the per-run report keeps the same numbers scoped to one call.
 _PUBLISHED_COUNTERS = (
-    "reward_calls", "reward_cache_hits",
+    "reward_calls",
     "analysis_delta_hits", "analysis_fallbacks", "analysis_divergences",
     "oracle_delta_hits", "oracle_fallbacks", "oracle_divergences",
     "sanitize_checks", "equivalence_rejections", "cone_check_failures",
@@ -223,7 +221,7 @@ def _resolve_search_rewards(config: MCTSConfig, reward_fn: RewardFn | None):
     """
     exact_reward = reward_fn or SynthesisReward(config.clock_period)
     incremental = None
-    search_base = exact_reward
+    search_reward = exact_reward
     if config.incremental and reward_fn is None:
         from ..incr import IncrementalReward
 
@@ -231,10 +229,10 @@ def _resolve_search_rewards(config: MCTSConfig, reward_fn: RewardFn | None):
             clock_period=config.clock_period,
             delta_analysis=config.delta_analysis,
         )
-        search_base = incremental
+        search_reward = incremental
     oracle = None
     if config.verify_with_synthesis and not isinstance(
-        search_base, SynthesisReward
+        search_reward, SynthesisReward
     ):
         if incremental is not None and config.delta_oracle:
             from ..incr import DeltaOracle
@@ -247,7 +245,7 @@ def _resolve_search_rewards(config: MCTSConfig, reward_fn: RewardFn | None):
                 exact_reward if isinstance(exact_reward, SynthesisReward)
                 else SynthesisReward(config.clock_period)
             )
-    return search_base, incremental, oracle
+    return search_reward, incremental, oracle
 
 
 def optimize_registers(
@@ -268,7 +266,7 @@ def optimize_registers(
     before.
     """
     config = config or MCTSConfig()
-    search_base, incremental, oracle = _resolve_search_rewards(
+    search_reward, incremental, oracle = _resolve_search_rewards(
         config, reward_fn
     )
     fast = (
@@ -338,12 +336,6 @@ def optimize_registers(
                 # re-synthesizing.
                 incremental.rebase(current, exact_pcs=current_pcs)
                 current_pcs = incremental.base_pcs
-            # One cache per cone search: within it the cone is fixed, so
-            # the reward is a pure function of the structural fingerprint.
-            search_reward = (
-                CachedReward(search_base) if config.cache_rewards
-                else search_base
-            )
             optimizer = MCTSOptimizer(
                 search_reward,
                 num_simulations=config.num_simulations,
@@ -359,9 +351,7 @@ def optimize_registers(
                 cone_span.add(simulations=result.simulations,
                               improved=result.improved)
             report.cone_results[cone.register] = result
-            if isinstance(search_reward, CachedReward):
-                report.reward_calls += search_reward.calls
-                report.reward_cache_hits += search_reward.hits
+            report.reward_calls += result.reward_calls
             if sanitizer is not None and result.improved:
                 # S001: the search's best state sits at the end of the
                 # deepest copy-on-write derivation chain this cone
@@ -464,6 +454,7 @@ def optimize_registers(
         report.reward_rebases = incremental.rebases
         (report.analysis_delta_hits, report.analysis_fallbacks,
          report.analysis_divergences) = incremental.analysis_counters()
+        report.analysis_fallback_reasons = incremental.fallback_reasons()
     oracle_counters = getattr(oracle, "counters", None)
     if oracle_counters is not None:
         (report.oracle_delta_hits, report.oracle_fallbacks,
@@ -582,7 +573,7 @@ def random_search_registers(
     the process."
     """
     config = config or MCTSConfig()
-    search_base, incremental, oracle = _resolve_search_rewards(
+    search_reward, incremental, oracle = _resolve_search_rewards(
         config, reward_fn
     )
     sanitizer = _sanitizer_from_config(config.sanitize, seed=config.seed)
@@ -610,11 +601,8 @@ def random_search_registers(
                 current_pcs = incremental.base_pcs
             index = SwapIndex([cone.register, *cone.interior])
             live = driving_cone(current, cone.register)
-            search_reward = (
-                CachedReward(search_base) if config.cache_rewards
-                else search_base
-            )
             initial = search_reward(current, live)
+            reward_calls = 1
             best_graph, best_reward = current, initial
             state = current
             steps = 0
@@ -629,6 +617,7 @@ def random_search_registers(
                     continue
                 state = nxt
                 r = search_reward(state, cone)
+                reward_calls += 1
                 rewards_seen.append(r)
                 if r > best_reward:
                     best_reward, best_graph = r, state
@@ -641,10 +630,9 @@ def random_search_registers(
                 initial_reward=initial,
                 simulations=steps,
                 rewards_seen=rewards_seen,
+                reward_calls=reward_calls,
             )
-            if isinstance(search_reward, CachedReward):
-                report.reward_calls += search_reward.calls
-                report.reward_cache_hits += search_reward.hits
+            report.reward_calls += reward_calls
             if best_reward > initial + 1e-12:
                 if sanitizer is not None:
                     # S001: audit the winning state's memo chain before
@@ -690,6 +678,7 @@ def random_search_registers(
         report.reward_rebases = incremental.rebases
         (report.analysis_delta_hits, report.analysis_fallbacks,
          report.analysis_divergences) = incremental.analysis_counters()
+        report.analysis_fallback_reasons = incremental.fallback_reasons()
     oracle_counters = getattr(oracle, "counters", None)
     if oracle_counters is not None:
         (report.oracle_delta_hits, report.oracle_fallbacks,

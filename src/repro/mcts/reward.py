@@ -48,9 +48,10 @@ class SynthesisReward:
 class Fingerprint:
     """A structural key with its hash computed exactly once.
 
-    Fingerprints are large nested tuples; hashing one on every cache
-    lookup costs more than the lookup itself.  Equality still compares
-    the full keys, so two states collide iff their structures match.
+    Fingerprints are large nested tuples; hashing one on every dict
+    lookup would cost more than the lookup itself.  Equality still
+    compares the full keys, so two states collide iff their structures
+    match.
     """
 
     __slots__ = ("key", "_hash")
@@ -78,8 +79,7 @@ def structural_fingerprint(graph: CircuitGraph) -> Fingerprint:
     widths, params (CONST values, slice indices, ...) and ordered parent
     slots -- exactly the state every reward in this package is a
     function of.  Computing it is O(nodes), orders of magnitude cheaper
-    than one synthesis call, which is what makes :class:`CachedReward`
-    pay off.
+    than one synthesis call.
 
     The fingerprint is memoized on the graph instance (search states
     are never mutated after creation, so the hot loop computes each
@@ -91,8 +91,7 @@ def structural_fingerprint(graph: CircuitGraph) -> Fingerprint:
     differ from the base).  Within one search every state shares one
     frozen base, so equal keys still imply identical structures; the
     only asymmetry is that a view is never conflated with a plain graph
-    -- a sound (no false positive) trade the per-cone reward cache is
-    happy to make.
+    -- a sound (no false positive) trade for keys scoped to one search.
     """
     cached = graph.__dict__.get("_structural_fp")
     if cached is None:
@@ -105,7 +104,7 @@ def structural_fingerprint(graph: CircuitGraph) -> Fingerprint:
             ))
             # The base object itself anchors the key: graphs hash and
             # compare by identity, which both pins the base alive for
-            # as long as any cache entry references it and rules out
+            # as long as any key references it and rules out
             # id-recycling collisions.
             cached = Fingerprint((base, diff))
         else:
@@ -120,46 +119,6 @@ def structural_fingerprint(graph: CircuitGraph) -> Fingerprint:
             cached = Fingerprint((nodes_key, graph.parent_rows()))
         graph._structural_fp = cached
     return cached
-
-
-class CachedReward:
-    """Structural memoization wrapper around any ``reward(graph, cone)``.
-
-    The swap action is its own inverse, so MCTS rollouts and the random-
-    search ablation revisit states constantly; every revisit would
-    otherwise pay a full synthesis (or discriminator) evaluation.  Keys
-    combine :func:`structural_fingerprint` with the cone's identity, so
-    rewards that condition on the cone stay correct.  ``calls`` counts
-    lookups, ``hits`` the ones served from cache; underlying reward
-    invocations are ``calls - hits``.
-    """
-
-    def __init__(self, reward_fn):
-        self.reward_fn = reward_fn
-        self.calls = 0
-        self.hits = 0
-        self._cache: dict[tuple, float] = {}
-
-    def __call__(self, graph: CircuitGraph, cone: Cone | None = None) -> float:
-        if cone is None:
-            cone_key = None
-        else:
-            # Cones are fixed for a whole search; memoize their key.
-            cone_key = cone.__dict__.get("_cache_key")
-            if cone_key is None:
-                cone_key = (
-                    cone.register, tuple(cone.interior), tuple(cone.boundary)
-                )
-                cone._cache_key = cone_key
-        key = (structural_fingerprint(graph), cone_key)
-        self.calls += 1
-        value = self._cache.get(key)
-        if value is not None:
-            self.hits += 1
-            return value
-        value = self.reward_fn(graph, cone)
-        self._cache[key] = value
-        return value
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ class ConeSearchResult:
     initial_reward: float
     simulations: int
     rewards_seen: list[float] = field(default_factory=list)
+    #: Search-reward evaluations this search made.
+    reward_calls: int = 0
 
     @property
     def improved(self) -> bool:
@@ -78,6 +80,7 @@ class MCTSOptimizer:
         # list instead of re-scanning every edge per sample call.
         index = SwapIndex([cone.register, *cone.interior])
         root = self._make_node(graph, cone, depth=0, index=index)
+        reward_calls = 1
         best_graph, best_reward = root.graph, root.reward
         rewards_seen = [root.reward]
 
@@ -98,6 +101,7 @@ class MCTSOptimizer:
                     child = self._make_node(
                         child_graph, cone, node.depth + 1, index
                     )
+                    reward_calls += 1
                     child.parent = node
                     node.children[swap] = child
                     node = child
@@ -114,6 +118,7 @@ class MCTSOptimizer:
                     continue
                 rollout_graph = nxt
                 r = self.reward_fn(rollout_graph, cone)
+                reward_calls += 1
                 rewards_seen.append(r)
                 if r > max_reward:
                     max_reward = r
@@ -135,6 +140,7 @@ class MCTSOptimizer:
             initial_reward=root.reward,
             simulations=self.num_simulations,
             rewards_seen=rewards_seen,
+            reward_calls=reward_calls,
         )
 
     # ------------------------------------------------------------------

@@ -153,6 +153,12 @@ class TestGraphView:
         from repro.ir import GraphView
 
         assert isinstance(view, GraphView)
+        # Before child_map() memoizes: _fanout must derive each node's
+        # fanout from the base's map plus the overlay rows.
+        assert "_child_map_memo" not in view.__dict__
+        for v, fanout in enumerate(reference.child_map()):
+            assert sorted(view._fanout(v)) == sorted(fanout)
+        assert view._sequential_flags() == reference._sequential_flags()
         assert view.num_nodes == reference.num_nodes
         assert view.num_edges == reference.num_edges
         for v in range(reference.num_nodes):

@@ -371,6 +371,52 @@ class TestSanitizerInjection:
         # The diagnostic names the candidate's edit provenance.
         assert exc.value.diagnostic.provenance["overlay_nodes"] == [ids["s"]]
 
+    def test_s006_dropped_inherited_override(self):
+        import numpy as np
+
+        from repro.bench_designs import load_design
+        from repro.incr import IncrementalReward
+        from repro.mcts import Swap, apply_swap, is_applicable
+
+        g = load_design("alu")
+        engine = IncrementalReward(clock_period=2.0)
+        engine.rebase(g)
+        comb = engine._analyzer._comb
+        rng = np.random.default_rng(0)
+
+        def successor(state, avoid=()):
+            """A legal swap successor rewiring two comb nodes not in
+            ``avoid``."""
+            edges = state.edge_list()
+            while True:
+                i, j = edges[rng.integers(len(edges))]
+                p, q = edges[rng.integers(len(edges))]
+                swap = Swap(i, j, p, q)
+                if (j in comb and q in comb and not {j, q} & set(avoid)
+                        and is_applicable(state, swap)):
+                    nxt = apply_swap(state, swap)
+                    if nxt is not None:
+                        return nxt
+
+        first = successor(g)
+        with sanitizing(Sanitizer()) as sanitizer:
+            engine(first, None)  # honest: ok
+        inherited = first._area_overrides[2]
+        second = successor(first, avoid=inherited)
+        with sanitizing(sanitizer):
+            engine(second, None)  # honest: ok, inherits both keys
+        assert set(inherited) <= set(second._area_overrides[2])
+        # Drop one inherited key from the predecessor's memo: the
+        # successor's overrides silently lose that node's rewired area.
+        dropped = min(inherited)
+        del inherited[dropped]
+        del second._area_overrides
+        with pytest.raises(InvariantViolation) as exc:
+            with sanitizing(Sanitizer()):
+                engine(second, None)
+        assert exc.value.diagnostic.rule == "S006"
+        assert exc.value.diagnostic.nodes == [dropped]
+
     def test_s007_tampered_analysis_baseline(self):
         from repro.incr.analysis import RedundancyAnalyzer
 

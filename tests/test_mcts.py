@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir import GraphBuilder, NodeType, validate
 from repro.mcts import (
@@ -155,6 +157,62 @@ class TestSwapAction:
         assert not is_applicable(g, Swap(x, n1, x, n2))
 
 
+#: Bench designs the swap-legality property walks (sequential feedback,
+#: wide datapaths, arithmetic chains).
+_LEGALITY_DESIGNS = ("traffic_light", "arbiter", "crc_gen", "alu", "mac_unit")
+
+
+def _swap_outcomes(design, seed, steps):
+    """Random walk of applicable swaps over a bench design: yields
+    (state, swap, apply_swap result, reference successor)."""
+    from repro.bench_designs import load_design
+    from repro.ir import GraphView
+
+    state = load_design(design)
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        edges = state.edge_list()
+        i, j = edges[rng.integers(len(edges))]
+        p, q = edges[rng.integers(len(edges))]
+        swap = Swap(i, j, p, q)
+        if not is_applicable(state, swap):
+            continue
+        reference = GraphView(state)
+        reference.set_parent(j, state.parents(j).index(i), p)
+        reference.set_parent(q, state.parents(q).index(p), i)
+        successor = apply_swap(state, swap)
+        yield state, swap, successor, reference
+        if successor is not None:
+            state = successor
+
+
+class TestSwapLegality:
+    """``apply_swap`` rejects a swap exactly when the rewired state has
+    a combinational cycle (checked by whole-graph enumeration)."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(design=st.sampled_from(_LEGALITY_DESIGNS),
+           seed=st.integers(0, 10_000))
+    def test_rejects_exactly_the_cyclic_successors(self, design, seed):
+        from repro.lint.constraints import find_combinational_cycles
+
+        for _, swap, successor, reference in _swap_outcomes(design, seed, 40):
+            cyclic = bool(
+                find_combinational_cycles(reference.materialize(), limit=1)
+            )
+            assert (successor is None) == cyclic, (design, seed, swap)
+            if successor is not None:
+                assert successor.parent_rows() == reference.parent_rows()
+
+    def test_walks_reach_both_outcomes(self):
+        for design in _LEGALITY_DESIGNS:
+            outcomes = {
+                successor is None
+                for _, _, successor, _ in _swap_outcomes(design, 0, 60)
+            }
+            assert outcomes == {True, False}, design
+
+
 class TestRewards:
     def test_synthesis_reward_counts_calls(self):
         reward = SynthesisReward(clock_period=2.0)
@@ -257,48 +315,72 @@ class TestMCTSSearch:
         assert result.rewards_seen
 
 
-class TestCachedReward:
-    def test_hits_and_transparency(self):
-        from repro.mcts import CachedReward
-
-        g = redundant_design()
-        inner = SynthesisReward(2.0)
-        cached = CachedReward(inner)
-        cone = all_cones(g)[0]
-        first = cached(g, cone)
-        second = cached(g, cone)
-        assert first == second == inner(g, cone)
-        assert cached.calls == 2 and cached.hits == 1
-        assert inner.calls == 2  # one miss + the direct check call
-
-    def test_distinct_states_and_cones_not_conflated(self):
-        from repro.mcts import CachedReward, structural_fingerprint
+class TestStructuralFingerprint:
+    def test_distinct_states_not_conflated(self):
+        from repro.mcts import structural_fingerprint
 
         g = redundant_design()
         cones = [c for c in all_cones(g) if c.interior]
-        cached = CachedReward(SynthesisReward(2.0))
-        cached(g, cones[0])
-        cached(g, cones[1])          # same graph, different cone: a miss
-        assert cached.hits == 0
+        assert structural_fingerprint(g) == structural_fingerprint(g.copy())
         rng = np.random.default_rng(0)
         swaps = sample_swaps(g, cones[0].nodes, rng, 8)
         changed = next(
             s for s in (apply_swap(g, sw) for sw in swaps) if s is not None
         )
         assert structural_fingerprint(changed) != structural_fingerprint(g)
-        cached(changed, cones[0])    # different state: a miss
-        assert cached.hits == 0 and cached.calls == 3
 
-    def test_caching_never_changes_the_search(self):
+
+class TestRewardCalls:
+    """``report.reward_calls`` is counted in the search loops; pin it
+    against the reward's own call counter."""
+
+    def _config(self):
+        return MCTSConfig(num_simulations=12, max_depth=3, branching=3, seed=4)
+
+    @pytest.mark.parametrize(
+        "search", [optimize_registers, random_search_registers]
+    )
+    def test_reward_calls_match_independent_counts(self, search, monkeypatch):
+        import repro.incr
+        from repro.obs import registry
+
         g = redundant_design()
-        on = MCTSConfig(num_simulations=12, max_depth=3, branching=3, seed=4)
-        off = MCTSConfig(num_simulations=12, max_depth=3, branching=3, seed=4,
-                         cache_rewards=False)
-        report_on = optimize_registers(g, config=on)
-        report_off = optimize_registers(g, config=off)
-        assert report_on.graph.to_dict() == report_off.graph.to_dict()
-        assert report_on.reward_calls > 0
-        assert report_off.reward_calls == report_off.reward_cache_hits == 0
+        # Explicit exact reward: used verbatim, and with no oracle in
+        # play every call it sees is a search-reward evaluation.
+        exact = SynthesisReward(2.0)
+        report = search(g, reward_fn=exact, config=self._config())
+        assert report.reward_calls == exact.calls > 0
+        assert report.reward_cache_hits == 0
+
+        engines = []
+
+        class Recording(repro.incr.IncrementalReward):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(repro.incr, "IncrementalReward", Recording)
+        published = registry().value("reward_calls_total")
+        report = search(g, config=self._config())
+        (engine,) = engines
+        assert report.incremental
+        assert report.reward_calls == engine.calls > 0
+        assert registry().value("reward_calls_total") - published \
+            == report.reward_calls
+
+    def test_fallback_reasons_sum_to_fallbacks(self):
+        from repro.bench_designs import load_design
+
+        report = optimize_registers(
+            load_design("uart_tx"),
+            config=MCTSConfig(num_simulations=40, max_depth=6, seed=0),
+        )
+        reasons = report.analysis_fallback_reasons
+        assert report.analysis_fallbacks > 0
+        assert sum(reasons.values()) == report.analysis_fallbacks
+        assert set(reasons) <= {
+            "folded_reg_cone", "reg_ref_changed", "no_convergence",
+        }
 
 
 class TestConeBatchEvaluator:
