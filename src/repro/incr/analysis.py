@@ -27,19 +27,31 @@ base state's converged references, only the edit's affected cone -- the
 touched nodes from swap provenance plus everything their reference
 changes reach through fanout edges and duplicate-merge aliasing -- is
 re-run through the fixpoint rules; every other node keeps its converged
-value.  The delta mode is exact (bit-identical reports to the full
-fixpoint, enforced by the differential fuzz suite and the ``S007``
-sanitizer rule) because it falls back to the full pass whenever a
-precondition it cannot cheaply re-establish is violated: a register's
-reference moving, an edit reaching the justification cone of a
-constant-folded register (where fixpoints are not unique), or the
-worklist failing to settle within the round budget.
+value.  The cone is a worklist in evaluation order, and dedup claims
+persist across its sweeps, so a node is re-evaluated only when one of
+its inputs, its claim or its alias target changed.
+
+Each converged delta run is memoized on its state as an overlay of
+diffs against the baseline.  A swap successor (``edit_origin``) resumes
+from its predecessor's overlay and seeds only the two rows the swap
+rewired, so a rollout step costs its own swap's cone rather than every
+edit since the cone root.
+
+The delta mode is exact (bit-identical reports to the full fixpoint,
+enforced by the differential fuzz suite and the ``S007`` sanitizer
+rule) because it falls back to the full pass whenever a precondition it
+cannot cheaply re-establish is violated: a register's reference moving,
+an edit reaching the justification cone of a constant-folded register
+(where fixpoints are not unique), or the worklist failing to drain
+within the sweep budget.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from typing import NamedTuple
 
 from ..ir import CircuitGraph, NodeType
 from ..lint.sanitize import current_sanitizer as _current_sanitizer
@@ -70,11 +82,43 @@ class RedundancyReport:
     rewired: set[int] = field(default_factory=set)
     #: Kept nodes reachable backwards from an output.
     live: set[int] = field(default_factory=set)
+    #: Rule rounds of the full pass, or worklist sweeps in delta mode.
     rounds: int = 0
 
     def survivors(self) -> set[int]:
         """Nodes expected to contribute area after synthesis."""
         return (self.kept & self.live) - self.rewired
+
+
+class _Overlay(NamedTuple):
+    """A converged delta run as diffs against the analyzer's baseline.
+
+    Memoized on the analyzed state (``_analysis_overlay``, keyed by
+    analyzer and baseline graph) so a swap successor can resume from
+    it; never mutated once stored -- each run copies what it changes.
+    """
+
+    #: Node -> reference, for the references that differ from baseline.
+    changed: dict[int, Ref]
+    #: Rewired-flag differences from the baseline.
+    rewired_on: frozenset[int]
+    rewired_off: frozenset[int]
+    #: Nodes evaluated under the overlay's claims instead of the
+    #: baseline tables (once dirty, dirty for the rest of the chain).
+    dirty: set[int]
+    #: Dedup key -> its earliest dirty claimant.
+    claim: dict[tuple, int]
+    #: Dirty node -> the dedup key it holds (claimant or alias).
+    key_of: dict[int, tuple]
+    #: Representative -> the dirty nodes that dedup-aliased to it.
+    aliases: dict[int, frozenset[int]]
+
+
+_NO_ALIASES: frozenset[int] = frozenset()
+
+#: The overlay of the baseline itself: a run resuming from it re-runs
+#: the touched rows over the captured baseline tables.
+_BASELINE = _Overlay({}, _NO_ALIASES, _NO_ALIASES, set(), {}, {}, {})
 
 
 def _trunc(ref: Ref, width: int) -> Ref:
@@ -189,6 +233,8 @@ class RedundancyAnalyzer:
         #: Delta-mode outcome counters; ``delta_fallbacks`` is broken
         #: down by reason in ``fallback_reasons``.
         self.delta_hits = 0
+        #: Delta hits that resumed from a predecessor state's overlay.
+        self.delta_chained = 0
         self.delta_fallbacks = 0
         self.delta_divergences = 0
         self.fallback_reasons: dict[str, int] = {}
@@ -212,6 +258,10 @@ class RedundancyAnalyzer:
         #: the fixpoint is not unique; edits reaching this set fall back
         #: to the full pass.
         self._b_guard: frozenset[int] = frozenset()
+        #: Seed rows of the last delta run when it resumed from a
+        #: predecessor's overlay, ``None`` when it started from the
+        #: baseline (reported by the S007 diagnostic).
+        self._chain_rows: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------------
     def capture_baseline(
@@ -307,10 +357,14 @@ class RedundancyAnalyzer:
                 self._b_graph = None
             if report is not None:
                 self.delta_hits += 1
+                if self._chain_rows is not None:
+                    self.delta_chained += 1
                 sanitizer = _current_sanitizer()
                 if sanitizer is not None:
                     # S007: delta-mode report vs the full fixpoint.
-                    sanitizer.check_analysis(self, graph, touched, report)
+                    sanitizer.check_analysis(
+                        self, graph, touched, report, self._chain_rows
+                    )
                 return report
         return self.full_analyze(graph, max_rounds=max_rounds,
                                  touched=touched, parents=parents)
@@ -350,59 +404,106 @@ class RedundancyAnalyzer:
         touched: Iterable[int],
         max_rounds: int,
     ) -> RedundancyReport | None:
-        """Dirty-cone fixpoint from the converged baseline.
+        """Worklist fixpoint over the edit's dirty cone.
+
+        Starts from the predecessor state's memoized overlay when
+        ``graph.edit_origin`` names a state this analyzer converged on
+        the same baseline, seeding only the two rows the last swap
+        rewired; otherwise from the baseline, seeding ``touched``.
+        Dirty nodes pop from a heap in evaluation order: a wake ahead
+        of the cursor joins the current sweep, a wake at or behind it
+        the next one.  Dedup claims persist across sweeps (key ->
+        earliest dirty claimant, node -> its key, claimant -> the dirty
+        nodes aliased to it), so a node is re-evaluated only when an
+        input reference, its claim or its alias target changed.
+        ``rounds`` of the report counts sweeps.
 
         Returns ``None`` (recording the reason) whenever a precondition
         for bit-identity with the full pass cannot be re-established:
 
-        * a touched or woken node lies in the folded-register guard set
+        * a seeded or woken node lies in the folded-register guard set
           (register-feedback fixpoints are not unique there);
         * a register's reference moves off its baseline value (the
           register boundary must stay pinned for the combinational part
           to have a unique grounded fixpoint);
-        * the worklist has not settled within ``max_rounds``.
+        * the worklist has not drained within ``max_rounds`` sweeps.
 
         Everything else mirrors the full pass exactly: the rule
         dispatch is a copy of :meth:`_fixpoint`'s (the differential
         fuzz suite pins the two against each other), and duplicate
-        merging resolves each key to the earliest-in-order claimant
-        among this round's dirty claimants and the still-clean baseline
-        owner.
+        merging resolves each key to the earliest-in-order node among
+        the dirty claimants and the still-clean baseline owner.
         """
         pos = self._pos
         guard = self._b_guard
-        dirty: set[int] = set()
-        for v in touched:
+        b_refs = self._b_refs
+        b_rewired = self._b_rewired
+        origin = getattr(graph, "edit_origin", None)
+        memo = (
+            origin[0].__dict__.get("_analysis_overlay")
+            if origin is not None else None
+        )
+        seeds: Iterable[int]
+        prev: _Overlay
+        if (memo is not None and memo[0] is self
+                and memo[1] is self._b_graph):
+            # Only the last swap's rows differ from the predecessor.
+            prev = memo[2]
+            seeds = self._chain_rows = tuple(origin[1])
+        else:
+            prev = _BASELINE
+            seeds = touched
+            self._chain_rows = None
+        changed = dict(prev.changed)
+        refs = list(b_refs)
+        for v, ref in changed.items():
+            refs[v] = ref
+        rewired = set(b_rewired)
+        rewired -= prev.rewired_off
+        rewired |= prev.rewired_on
+        dirty = set(prev.dirty)
+        claim = dict(prev.claim)
+        key_of = dict(prev.key_of)
+        aliases = dict(prev.aliases)
+        b_key = self._b_key
+        heap: list[int] = []
+        queued: set[int] = set()
+        for v in seeds:
             if v in guard:
                 return self._delta_fallback("folded_reg_cone")
-            if v in pos:
+            p = pos.get(v)
+            if p is None or v in queued:
+                continue
+            queued.add(v)
+            heap.append(p)
+            if v not in dirty:
                 dirty.add(v)
-        b_refs = self._b_refs
-        refs = list(b_refs)
-        rewired = set(self._b_rewired)
-        if not dirty:
-            # Only IN/CONST/OUT rows changed: references are fixed
-            # there, but liveness still follows the new wiring.
-            return self._report(parents, refs, rewired, 0)
+                k = b_key.get(v)
+                if k is not None:
+                    key_of[v] = k
+        heap.sort()
+        order = self.order
         types, widths = self.types, self.widths
         codes, masks = self.codes, self.masks
         commutative, static_sig = self.commutative, self.static_sig
         static_rewired = self.static_rewired
         owner_by_key = self._b_owner
-        b_key = self._b_key
         b_deps = self._b_deps
-        rounds = 0
-        converged = False
-        for rounds in range(1, max_rounds + 1):
-            changed = False
-            dirty_seen: dict[tuple, tuple[int, Ref]] = {}
-            pending: list[int] = []
-            for v in sorted(dirty, key=pos.__getitem__):
+        fanout = graph._fanout
+        later: set[int] = set()
+        flipped = False
+        sweeps = 0
+        while heap:
+            sweeps += 1
+            if sweeps > max_rounds:
+                return self._delta_fallback("no_convergence")
+            while heap:
+                cur = heappop(heap)
+                v = order[cur]
+                queued.discard(v)
                 code = codes[v]
                 w = widths[v]
                 mask = masks[v]
-                commutative_v = commutative[v]
-                sig_v = static_sig[v]
                 pv = parents[v]
                 ref = None
                 rewire = v in static_rewired
@@ -502,75 +603,116 @@ class RedundancyAnalyzer:
                             else:
                                 rewire = True
 
+                woken: list[int] = []
+                key = None
                 if ref is None:
                     ref = ("n", v, w)
                     canon = tuple([refs[p] for p in pv])
-                    if commutative_v:
+                    if commutative[v]:
                         canon = tuple(sorted(canon))
-                    key = (sig_v, canon)
-                    # Earliest-in-order claimant wins: dirty claimants
-                    # from this round vs the baseline owner (valid only
-                    # while it stayed clean -- dirty owners re-claim
-                    # through dirty_seen like everyone else).
-                    u = owner_by_key.get(key)
-                    best: tuple[int, Ref] | None = None
-                    if u is not None and u != v and u not in dirty:
-                        best = (pos[u], b_refs[u])
-                    d_claim = dirty_seen.get(key)
-                    if d_claim is not None and (
-                        best is None or d_claim[0] < best[0]
-                    ):
-                        best = d_claim
-                    if best is not None and best[0] < pos[v]:
-                        ref = _trunc(best[1], w)
+                    key = (static_sig[v], canon)
+                    # Earliest-in-order node holding the key: the dirty
+                    # claimant, else the baseline owner while it stays
+                    # clean (a dirty owner re-claims on evaluation).
+                    u = claim.get(key)
+                    if u is None:
+                        u = owner_by_key.get(key)
+                        if u is not None and u in dirty:
+                            u = None
+                    if u is not None and u != v and pos[u] < cur:
+                        # Equal keys carry equal widths (the static
+                        # signature holds the width): _trunc is a no-op.
+                        ref = ("n", u, w)
                     else:
-                        dirty_seen[key] = (pos[v], ref)
-                        if (u is not None and u != v and u not in dirty
-                                and pos[u] > pos[v]):
-                            # A later clean owner is displaced by this
-                            # claim; it must re-resolve to an alias.
-                            pending.append(u)
-                        old_key = b_key.get(v)
-                        if old_key is not None and old_key != key:
-                            # v still represents itself but under a new
-                            # key: baseline aliases keyed on the old one
-                            # must re-resolve even though v's reference
-                            # (their rule input) did not change.
-                            deps = b_deps.get(v)
-                            if deps:
-                                pending.extend(deps)
-
-                if refs[v] != ref:
+                        claim[key] = v
+                        if u is not None and u != v:
+                            # A later claimant or clean owner is
+                            # displaced and must re-resolve to an alias.
+                            woken.append(u)
+                old_ref = refs[v]
+                old_key = key_of.get(v)
+                if key != old_key:
+                    if old_key is not None:
+                        if claim.get(old_key) == v:
+                            del claim[old_key]
+                        # The old key's aliases must re-resolve even if
+                        # v's reference (their rule input) is unchanged.
+                        deps = b_deps.get(v)
+                        if deps:
+                            woken.extend(deps)
+                        mine = aliases.pop(v, None)
+                        if mine:
+                            woken.extend(mine)
+                    if key is None:
+                        del key_of[v]
+                    else:
+                        key_of[v] = key
+                # Keys hold only node references: a keyed node is a
+                # claimant (its own rep) or an alias of another node.
+                old_rep = (old_ref[1] if old_key is not None
+                           and old_ref[1] != v else None)
+                new_rep = ref[1] if key is not None and ref[1] != v else None
+                if old_rep is not None and old_rep != new_rep:
+                    members = aliases.get(old_rep)
+                    if members and v in members:
+                        aliases[old_rep] = members - {v}
+                if new_rep is not None:
+                    members = aliases.get(new_rep, _NO_ALIASES)
+                    if v not in members:
+                        aliases[new_rep] = members | {v}
+                if old_ref != ref:
                     if code == _K_REG:
                         # The register boundary must stay pinned to the
                         # baseline for the delta pass to share the full
                         # pass's (unique) grounded fixpoint.
                         return self._delta_fallback("reg_ref_changed")
                     refs[v] = ref
-                    changed = True
-                    pending.extend(graph._fanout(v))
+                    if ref == b_refs[v]:
+                        changed.pop(v, None)
+                    else:
+                        changed[v] = ref
+                    woken.extend(fanout(v))
                     deps = b_deps.get(v)
                     if deps:
-                        pending.extend(deps)
+                        woken.extend(deps)
+                    mine = aliases.pop(v, None)
+                    if mine:
+                        woken.extend(mine)
                 if rewire != (v in rewired):
-                    changed = True
+                    flipped = True
                     if rewire:
                         rewired.add(v)
                     else:
                         rewired.discard(v)
-            grew = False
-            for u in pending:
-                if u in guard:
-                    return self._delta_fallback("folded_reg_cone")
-                if u in pos and u not in dirty:
-                    dirty.add(u)
-                    grew = True
-            if not changed and not grew:
-                converged = True
-                break
-        if not converged:
-            return self._delta_fallback("no_convergence")
-        return self._report(parents, refs, rewired, rounds)
+                for u in woken:
+                    if u in guard:
+                        return self._delta_fallback("folded_reg_cone")
+                    p = pos.get(u)
+                    if p is None:
+                        continue
+                    if u not in dirty:
+                        dirty.add(u)
+                        k = b_key.get(u)
+                        if k is not None:
+                            key_of[u] = k
+                    if p > cur:
+                        if u not in queued:
+                            queued.add(u)
+                            heappush(heap, p)
+                    else:
+                        later.add(u)
+            if later:
+                heap = sorted([pos[u] for u in later])
+                queued = later
+                later = set()
+        rewired_on, rewired_off = (
+            (frozenset(rewired - b_rewired), frozenset(b_rewired - rewired))
+            if flipped else (prev.rewired_on, prev.rewired_off)
+        )
+        graph.__dict__["_analysis_overlay"] = (self, self._b_graph, _Overlay(
+            changed, rewired_on, rewired_off, dirty, claim, key_of, aliases,
+        ))
+        return self._report(parents, refs, rewired, sweeps)
 
     def _order_valid(
         self, parents: list[list[int]], touched: Iterable[int]

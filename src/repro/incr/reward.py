@@ -126,6 +126,7 @@ class IncrementalReward:
         #: rebase builds a fresh analyzer; its counters are absorbed
         #: here before it is replaced).
         self.analysis_delta_hits = 0
+        self.analysis_chained_hits = 0
         self.analysis_fallbacks = 0
         self.analysis_divergences = 0
         self.analysis_fallback_reasons: dict[str, int] = {}
@@ -220,25 +221,27 @@ class IncrementalReward:
         analyzer = self._analyzer
         if analyzer is not None:
             self.analysis_delta_hits += analyzer.delta_hits
+            self.analysis_chained_hits += analyzer.delta_chained
             self.analysis_fallbacks += analyzer.delta_fallbacks
             self.analysis_divergences += analyzer.delta_divergences
             reasons = self.analysis_fallback_reasons
             for reason, count in analyzer.fallback_reasons.items():
                 reasons[reason] = reasons.get(reason, 0) + count
 
-    def analysis_counters(self) -> tuple[int, int, int]:
-        """(delta hits, fallbacks, divergences) including the live
-        analyzer's tallies."""
+    def analysis_counters(self) -> tuple[int, int, int, int]:
+        """(delta hits, chained hits, fallbacks, divergences) including
+        the live analyzer's tallies."""
         analyzer = self._analyzer
         extra = (
-            (analyzer.delta_hits, analyzer.delta_fallbacks,
-             analyzer.delta_divergences)
-            if analyzer is not None else (0, 0, 0)
+            (analyzer.delta_hits, analyzer.delta_chained,
+             analyzer.delta_fallbacks, analyzer.delta_divergences)
+            if analyzer is not None else (0, 0, 0, 0)
         )
         return (
             self.analysis_delta_hits + extra[0],
-            self.analysis_fallbacks + extra[1],
-            self.analysis_divergences + extra[2],
+            self.analysis_chained_hits + extra[1],
+            self.analysis_fallbacks + extra[2],
+            self.analysis_divergences + extra[3],
         )
 
     def fallback_reasons(self) -> dict[str, int]:

@@ -39,9 +39,10 @@ class Node:
 
 #: ``__dict__`` keys of the lazily memoized wiring-derived structures;
 #: every parent mutation drops them so no memo can serve a stale view
-#: of the wiring (the fingerprint memo of :mod:`repro.mcts.reward` and
-#: the area overrides of :mod:`repro.incr.reward` use the same
-#: discipline and are invalidated alongside).
+#: of the wiring (the fingerprint memo of :mod:`repro.mcts.reward`, the
+#: area overrides of :mod:`repro.incr.reward` and the redundancy
+#: overlay of :mod:`repro.incr.analysis` use the same discipline and are
+#: invalidated alongside).
 _WIRING_MEMOS = (
     "_structural_fp",
     "_structural_fp_nodes",
@@ -51,6 +52,7 @@ _WIRING_MEMOS = (
     "_edge_pos_memo",
     "_swap_local",
     "_area_overrides",
+    "_analysis_overlay",
 )
 
 

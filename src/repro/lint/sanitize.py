@@ -502,8 +502,14 @@ class Sanitizer:
         graph: "CircuitGraph",
         touched: Iterable[int],
         report: Any,
+        chain_rows: Iterable[int] | None = None,
     ) -> None:
-        """S007: the dirty-cone delta report equals the full fixpoint."""
+        """S007: the dirty-cone delta report equals the full fixpoint.
+
+        ``chain_rows`` names the seed rows when the run resumed from the
+        predecessor state's memoized overlay (``None``: it started from
+        the baseline with ``touched``).
+        """
         if not self.wants("S007"):
             return
         self.checks_run += 1
@@ -524,6 +530,9 @@ class Sanitizer:
             )
             prov = _graph_provenance(graph)
             prov["touched"] = sorted(touched)
+            prov["chained"] = chain_rows is not None
+            if chain_rows is not None:
+                prov["seed_rows"] = sorted(chain_rows)
             self._fail(
                 "S007",
                 "delta-mode redundancy report diverges from the full "

@@ -61,6 +61,13 @@ def apply_swap(graph: CircuitGraph, swap: Swap) -> CircuitGraph | None:
     reachability query instead of a whole-graph cycle enumeration --
     this check sits on the innermost MCTS rollout path.
 
+    Both queries run on the predecessor, before any successor state is
+    built.  That is exact: a cycle through both new edges would contain
+    a path ``j ~> i`` that, with the removed edge ``i -> j``, is a cycle
+    of the predecessor; and the paths ``j ~> p`` and ``q ~> i`` the
+    queries look for never use a removed edge, which would have to
+    enter the path's start or leave its end.
+
     The successor is a :class:`~repro.ir.GraphView`: node and parent
     storage stay shared with the predecessor and only the two rewired
     rows are recorded, so a rollout step allocates O(1) graph state
@@ -68,24 +75,21 @@ def apply_swap(graph: CircuitGraph, swap: Swap) -> CircuitGraph | None:
     """
     if not is_applicable(graph, swap):
         return None
+    i, j, p, q = swap
+    if _edge_in_comb_cycle(graph, p, j) or _edge_in_comb_cycle(graph, i, q):
+        return None
     out = GraphView(graph)
-    slot_j = graph._row(swap.j).index(swap.i)
-    slot_q = graph._row(swap.q).index(swap.p)
-    out.set_parent(swap.j, slot_j, swap.p)
-    out.set_parent(swap.q, slot_q, swap.i)
-    if _edge_in_comb_cycle(out, swap.p, swap.j):
-        return None
-    if _edge_in_comb_cycle(out, swap.i, swap.q):
-        return None
+    out.set_parent(j, graph._row(j).index(i), p)
+    out.set_parent(q, graph._row(q).index(p), i)
     # Edit provenance for the incremental engine: the predecessor state
     # and the two nodes whose parents changed.  IncrementalReward walks
     # this chain to recover the touched set without re-diffing graphs.
-    out.edit_origin = (graph, (swap.j, swap.q))
+    out.edit_origin = (graph, (j, q))
     return out
 
 
 def _edge_in_comb_cycle(graph: CircuitGraph, parent: int, child: int) -> bool:
-    """Does edge ``parent -> child`` lie on a register-free cycle?
+    """Would edge ``parent -> child`` lie on a register-free cycle?
 
     Equivalent to asking whether ``child`` reaches ``parent`` through
     combinational nodes; walked backwards from ``parent`` via parent

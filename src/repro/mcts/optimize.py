@@ -146,11 +146,19 @@ class OptimizationReport:
     reward_rebases: int = 0
     #: Improved cone states rejected by the functional-equivalence gate.
     equivalence_rejections: int = 0
+    #: Cones whose improved state was committed as the new design.
+    accepted_cones: int = 0
+    #: Improved cone states the exact synthesis oracle vetoed (its PCS
+    #: did not beat the current design's).
+    oracle_rejections: int = 0
     #: Dirty-cone redundancy-analysis outcomes (delta-mode analyze calls
     #: that reused the baseline / fell back to the full fixpoint / hit an
     #: unexpected exception and disabled the shortcut).  All zero when
     #: ``delta_analysis`` is off or the incremental engine is not used.
     analysis_delta_hits: int = 0
+    #: Delta hits that resumed from the predecessor state's converged
+    #: overlay instead of restarting from the cone root's baseline.
+    analysis_chained_hits: int = 0
     analysis_fallbacks: int = 0
     analysis_divergences: int = 0
     #: ``analysis_fallbacks`` broken down by reason (``folded_reg_cone``,
@@ -176,6 +184,8 @@ class OptimizationReport:
 
     @property
     def improved_cones(self) -> int:
+        """Cones whose search *estimate* improved -- not rewrites the
+        oracle accepted (see ``accepted_cones``)."""
         return sum(1 for r in self.cone_results.values() if r.improved)
 
     @property
@@ -189,9 +199,11 @@ class OptimizationReport:
 #: read; the per-run report keeps the same numbers scoped to one call.
 _PUBLISHED_COUNTERS = (
     "reward_calls",
-    "analysis_delta_hits", "analysis_fallbacks", "analysis_divergences",
+    "analysis_delta_hits", "analysis_chained_hits", "analysis_fallbacks",
+    "analysis_divergences",
     "oracle_delta_hits", "oracle_fallbacks", "oracle_divergences",
     "sanitize_checks", "equivalence_rejections", "cone_check_failures",
+    "accepted_cones", "oracle_rejections",
 )
 
 
@@ -404,7 +416,10 @@ def optimize_registers(
                             current = result.best_graph
                             current_pcs = candidate_pcs
                             accepted = True
+                        else:
+                            report.oracle_rejections += 1
             if accepted:
+                report.accepted_cones += 1
                 # The accepted state becomes the next search base; cut
                 # the swap provenance chain so the intermediate rollout
                 # graphs it references can be reclaimed.
@@ -452,7 +467,8 @@ def optimize_registers(
     if incremental is not None:
         report.reward_patches = incremental.patches
         report.reward_rebases = incremental.rebases
-        (report.analysis_delta_hits, report.analysis_fallbacks,
+        (report.analysis_delta_hits, report.analysis_chained_hits,
+         report.analysis_fallbacks,
          report.analysis_divergences) = incremental.analysis_counters()
         report.analysis_fallback_reasons = incremental.fallback_reasons()
     oracle_counters = getattr(oracle, "counters", None)
@@ -660,12 +676,16 @@ def random_search_registers(
                     current = best_graph
                     current_pcs = None
                     current.edit_origin = None
+                    report.accepted_cones += 1
                 else:
                     candidate_pcs = oracle(best_graph)
                     if candidate_pcs > current_pcs + 1e-12:
                         current = best_graph
                         current_pcs = candidate_pcs
                         current.edit_origin = None
+                        report.accepted_cones += 1
+                    else:
+                        report.oracle_rejections += 1
             logger.log(
                 logging.INFO if verbose else logging.DEBUG,
                 "[random] reg %d: pcs %.3f -> %.3f",
@@ -676,7 +696,8 @@ def random_search_registers(
     if incremental is not None:
         report.reward_patches = incremental.patches
         report.reward_rebases = incremental.rebases
-        (report.analysis_delta_hits, report.analysis_fallbacks,
+        (report.analysis_delta_hits, report.analysis_chained_hits,
+         report.analysis_fallbacks,
          report.analysis_divergences) = incremental.analysis_counters()
         report.analysis_fallback_reasons = incremental.fallback_reasons()
     oracle_counters = getattr(oracle, "counters", None)

@@ -116,6 +116,33 @@ class TestRegressionGate:
         current, baseline = _report(new=9.0), _report(old=0.01)
         assert compare(current, baseline) == []
 
+    def test_ci_filtered_gates_can_fail(self):
+        """Every isolated ``--filter`` step of the CI workflow selects
+        committed baselines at or above ``compare()``'s noise floor --
+        a gate whose baseline sits below it can never fail."""
+        import inspect
+        import pathlib
+        import re
+
+        repo = pathlib.Path(__file__).resolve().parent.parent
+        workflow = (repo / ".github" / "workflows" / "ci.yml").read_text()
+        filters = re.findall(r"--filter\s+(\S+)", workflow)
+        assert filters
+        baseline = BenchReport.load(repo / "BENCH_smoke.json")
+        min_time = inspect.signature(compare).parameters["min_time"].default
+        for pattern in filters:
+            # Same selection as run_suite(filter_pattern=...).
+            walls = {
+                record.name: record.wall_best
+                for record in baseline.records if pattern in record.name
+            }
+            assert walls, f"--filter {pattern} matches no baseline record"
+            for name, wall in walls.items():
+                assert wall >= min_time, (
+                    f"{name}: committed {wall * 1e3:.2f}ms is under the "
+                    f"{min_time * 1e3:.0f}ms gate floor"
+                )
+
 
 class TestSuite:
     def test_simulation_suite_and_speedup_annotation(self):

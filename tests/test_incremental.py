@@ -208,6 +208,83 @@ class TestRedundancyAnalysis:
                     if v in survivors]) <= 1
         assert graph.registers()[0] not in survivors  # swept via fold
 
+    def test_chained_hits_match_independent_count(self):
+        """A delta hit resumes from its predecessor's overlay exactly
+        when the predecessor was itself a delta hit (the base state is
+        not a resumable overlay); the count accumulates across
+        rebases."""
+        engine = IncrementalReward(clock_period=CLOCK)
+        expected = 0
+        fallbacks = 0
+        for design, seed in (("uart_tx", 5), ("cache_ctrl", 6)):
+            graph = load_design(design)
+            engine.rebase(graph)
+            analyzer = engine._analyzer
+            rng = np.random.default_rng(seed)
+            for _ in range(8):
+                previous_hit = False
+                for state in swap_chain(graph, rng, 8):
+                    hits = analyzer.delta_hits
+                    engine(state)
+                    hit = analyzer.delta_hits > hits
+                    fallbacks += not hit
+                    expected += hit and previous_hit
+                    previous_hit = hit
+        hits, chained, counted_fallbacks, divergences = (
+            engine.analysis_counters()
+        )
+        assert engine.rebases == 2
+        assert chained == expected
+        assert 0 < chained < hits
+        # Fallbacks break chains: the pin covers both kinds of start.
+        assert counted_fallbacks == fallbacks > 0
+        assert divergences == 0
+
+    def test_displaced_claimant_rewakes_its_dirty_aliases(self):
+        """A resumed run whose swap gives an earlier node the key of a
+        claimant from an earlier step: the claimant is displaced, and so
+        are the nodes that aliased to it in that earlier step -- even
+        though the resumed run never seeds them."""
+        from repro.incr.analysis import RedundancyAnalyzer
+        from repro.ir import GraphView
+
+        b = GraphBuilder("claims")
+        a, bb, e = (b.input(name, 4) for name in "abe")
+        v, c, x = b.and_(a, e), b.and_(bb, e), b.and_(a, bb)
+        for name, node in (("yv", v), ("yc", c), ("yx", x)):
+            b.output(name, node)
+        graph = b.build()
+        analyzer = RedundancyAnalyzer(graph)
+        analyzer.capture_baseline(graph, analyzer.full_analyze(graph))
+        assert analyzer._pos[v] < analyzer._pos[c] < analyzer._pos[x]
+        first = GraphView(graph)
+        first.set_parent(x, 0, e)  # x = AND(e, b): aliases c
+        first.edit_origin = (graph, (x,))
+        second = GraphView(first)
+        second.set_parent(v, 0, bb)  # v = AND(b, e): claims c's key
+        second.edit_origin = (first, (v,))
+        for state, touched in ((first, [x]), (second, [v, x])):
+            got = analyzer.analyze(state, touched=touched)
+            want = RedundancyAnalyzer(graph).full_analyze(state)
+            assert got.refs == want.refs
+        assert analyzer.delta_chained == 1
+        assert got.refs[c] == got.refs[x] == ("n", v, 4)
+
+    def test_set_parent_drops_the_analysis_overlay(self):
+        from repro.incr.analysis import RedundancyAnalyzer
+
+        graph = load_design("alu")
+        analyzer = RedundancyAnalyzer(graph)
+        analyzer.capture_baseline(graph, analyzer.full_analyze(graph))
+        state = swap_chain(graph, np.random.default_rng(0), 1)[0]
+        analyzer.analyze(state, touched=list(state.edit_origin[1]))
+        assert analyzer.delta_hits == 1
+        memo = state.__dict__["_analysis_overlay"]
+        assert memo[0] is analyzer and memo[1] is graph
+        j = state.edit_origin[1][0]
+        state.set_parent(j, 0, state.parents(j)[0])
+        assert "_analysis_overlay" not in state.__dict__
+
 
 # ---------------------------------------------------------------------------
 class TestCandidateQueue:

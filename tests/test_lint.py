@@ -444,6 +444,40 @@ class TestSanitizerInjection:
         # The diagnostic carries the edit provenance the delta ran on.
         assert exc.value.diagnostic.provenance["touched"] == touched
         assert exc.value.diagnostic.provenance["overlay_nodes"] == [ids["s"]]
+        assert exc.value.diagnostic.provenance["chained"] is False
+
+    def test_s007_tampered_chained_overlay(self):
+        import numpy as np
+        from fuzz_harness import swap_chain, touched_since
+
+        from repro.bench_designs import load_design
+        from repro.incr.analysis import RedundancyAnalyzer
+
+        g = load_design("alu")
+        analyzer = RedundancyAnalyzer(g)
+        analyzer.capture_baseline(g, analyzer.full_analyze(g))
+        first, second = swap_chain(g, np.random.default_rng(0), 2)
+        with sanitizing(Sanitizer()):
+            analyzer.analyze(first, touched=touched_since(first, g))
+            # honest: resumes from first's overlay, ok
+            analyzer.analyze(second, touched=touched_since(second, g))
+        assert analyzer.delta_hits == 2 and analyzer.delta_chained == 1
+        # Corrupt the predecessor's memoized overlay outside the cone
+        # the successor's swap reaches: the resumed run carries the
+        # bad reference into its report.
+        out = g.outputs()[0]
+        first.__dict__["_analysis_overlay"][2].changed[out] = ("c", 0)
+        with pytest.raises(InvariantViolation) as exc:
+            with sanitizing(Sanitizer()):
+                analyzer.analyze(second, touched=touched_since(second, g))
+        diagnostic = exc.value.diagnostic
+        assert diagnostic.rule == "S007"
+        assert out in diagnostic.nodes
+        # The diagnostic says the run resumed and which rows it seeded.
+        assert diagnostic.provenance["chained"] is True
+        assert diagnostic.provenance["seed_rows"] == sorted(
+            second.edit_origin[1]
+        )
 
     def test_s008_poisoned_shared_word_pool(self):
         from repro.mcts import CrossCircuitQueue

@@ -383,6 +383,50 @@ class TestRewardCalls:
         }
 
 
+class TestAcceptanceAccounting:
+    """``accepted_cones`` / ``oracle_rejections`` pinned against the
+    states the acceptance oracle actually saw: an accepted state becomes
+    the next search base (its swap provenance is cut), a vetoed one
+    keeps it."""
+
+    @pytest.mark.parametrize(
+        "search", [optimize_registers, random_search_registers]
+    )
+    def test_counts_match_the_oracle_verdicts(self, search, monkeypatch):
+        import repro.incr
+        from repro.bench_designs import load_design
+        from repro.obs import registry
+
+        judged = []
+
+        class Recording(repro.incr.DeltaOracle):
+            def __call__(self, graph, cone=None):
+                judged.append(graph)
+                return super().__call__(graph, cone)
+
+        monkeypatch.setattr(repro.incr, "DeltaOracle", Recording)
+        published = {
+            name: registry().value(f"{name}_total")
+            for name in ("accepted_cones", "oracle_rejections",
+                         "analysis_chained_hits")
+        }
+        report = search(
+            load_design("fifo_sync"),
+            config=MCTSConfig(
+                num_simulations=12, max_depth=3, branching=3, seed=4
+            ),
+        )
+        accepted = sum(1 for g in judged if g.edit_origin is None)
+        assert report.accepted_cones == accepted > 0
+        assert report.oracle_rejections == len(judged) - accepted > 0
+        # improved_cones counts estimate improvements, judged or not.
+        assert report.improved_cones == len(judged)
+        assert 0 < report.analysis_chained_hits < report.analysis_delta_hits
+        for name, before in published.items():
+            assert registry().value(f"{name}_total") - before \
+                == getattr(report, name)
+
+
 class TestConeBatchEvaluator:
     def test_signatures_detect_functional_change(self):
         from repro.mcts import ConeBatchEvaluator
